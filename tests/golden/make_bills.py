@@ -1,0 +1,143 @@
+"""Regenerate ``tests/golden/bills.json``: the pinned charged I/O bills.
+
+The golden file holds exact :class:`~repro.storage.IOStats` counters and
+``io_by_extent`` breakdowns for a fixed matrix of seeded runs:
+
+* ``decomposition`` — the five charging ``max_truss`` methods under lru,
+  fifo and clock on ``barabasi_albert(120, attach=5, seed=7)`` at block
+  64 / cache 32;
+* ``support_scan`` — the support scan on ``gnm_random(60, 700, seed=5)``
+  at block 64 / cache 16, under the same three policies;
+* ``maintenance`` — one seeded :class:`~repro.dynamic.DynamicMaxTruss`
+  insert/delete script at block 64 / cache 32;
+* ``semi_external`` — the three semi-external methods on youtube-s,
+  wikipedia-s and arabic-s with the default engine config (the Fig 5
+  stand-ins).
+
+``io`` is the closed context's bill, final flush included;
+``result_io`` is the ``max_truss`` result's own bill (the figure
+EXPERIMENTS.md publishes).
+
+``tests/test_golden_bills.py`` recomputes the same matrix and compares.
+The file is rewritten only by running this script::
+
+    PYTHONPATH=src python tests/golden/make_bills.py
+
+A change that moves a bill must say why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+from typing import Dict
+
+from repro import EngineConfig, ExecutionContext, max_truss
+from repro.dynamic import DynamicMaxTruss
+from repro.dynamic.workload import mixed_churn
+from repro.graph.datasets import load_dataset
+from repro.graph.disk_graph import DiskGraph
+from repro.graph.generators import barabasi_albert, gnm_random
+from repro.semiexternal.support import compute_supports
+
+GOLDEN_PATH = pathlib.Path(__file__).resolve().parent / "bills.json"
+
+POLICIES = ("lru", "fifo", "clock")
+CHARGING_METHODS = (
+    "semi-binary", "semi-greedy-core", "semi-lazy-update", "bottom-up", "top-down",
+)
+SEMI_METHODS = ("semi-binary", "semi-greedy-core", "semi-lazy-update")
+SEMI_DATASETS = ("youtube-s", "wikipedia-s", "arabic-s")
+
+
+def _counters(stats) -> Dict[str, int]:
+    return {
+        "read_ios": stats.read_ios,
+        "write_ios": stats.write_ios,
+        "bytes_read": stats.bytes_read,
+        "bytes_written": stats.bytes_written,
+    }
+
+
+def _bill(context: ExecutionContext, **answer) -> Dict[str, object]:
+    """One run's bill: the closed context's counters (the final flush
+    included), its per-extent split, and the run's answer."""
+    context.close()
+    extents = context.device.io_by_extent() if context.device is not None else {}
+    return dict(
+        answer,
+        io=_counters(context.stats),
+        io_by_extent={name: list(pair) for name, pair in sorted(extents.items())},
+    )
+
+
+def decomposition_bill(method: str, policy: str) -> Dict[str, object]:
+    graph = barabasi_albert(120, attach=5, seed=7)
+    context = ExecutionContext(EngineConfig(
+        block_size=64, cache_blocks=32, cache_policy=policy,
+    ))
+    result = max_truss(graph, method=method, context=context)
+    return _bill(context, k_max=result.k_max, result_io=_counters(result.io))
+
+
+def support_scan_bill(policy: str) -> Dict[str, object]:
+    graph = gnm_random(60, 700, seed=5)
+    context = ExecutionContext(EngineConfig(
+        block_size=64, cache_blocks=16, cache_policy=policy,
+    ))
+    scan = compute_supports(
+        DiskGraph(graph, context.device_for(graph.n), context.memory)
+    )
+    return _bill(context, triangles=scan.triangle_count)
+
+
+def maintenance_bill() -> Dict[str, object]:
+    graph = gnm_random(50, 300, seed=11)
+    context = ExecutionContext(EngineConfig(block_size=64, cache_blocks=32))
+    state = DynamicMaxTruss(graph, context=context)
+    trace = []
+    for op, u, v in mixed_churn(graph, 24, seed=3):
+        getattr(state, op)(u, v)
+        trace.append(state.k_max)
+    return _bill(context, k_max_trace=trace)
+
+
+def semi_external_bill(dataset: str, method: str) -> Dict[str, object]:
+    graph = load_dataset(dataset)
+    context = ExecutionContext(EngineConfig())
+    result = max_truss(graph, method=method, context=context)
+    return _bill(context, k_max=result.k_max, result_io=_counters(result.io))
+
+
+def cases():
+    """``(section, key, thunk)`` for every pinned run, in file order."""
+    for method in CHARGING_METHODS:
+        for policy in POLICIES:
+            yield ("decomposition", f"{method}/{policy}",
+                   lambda m=method, p=policy: decomposition_bill(m, p))
+    for policy in POLICIES:
+        yield ("support_scan", policy, lambda p=policy: support_scan_bill(p))
+    yield ("maintenance", "mixed_churn", maintenance_bill)
+    for dataset in SEMI_DATASETS:
+        for method in SEMI_METHODS:
+            yield ("semi_external", f"{dataset}/{method}",
+                   lambda d=dataset, m=method: semi_external_bill(d, m))
+
+
+def compute_bills() -> Dict[str, Dict[str, object]]:
+    bills: Dict[str, Dict[str, object]] = {}
+    for section, key, thunk in cases():
+        bills.setdefault(section, {})[key] = thunk()
+    return bills
+
+
+def main() -> None:
+    GOLDEN_PATH.write_text(
+        json.dumps(compute_bills(), indent=1, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    print(f"wrote {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    main()
