@@ -18,6 +18,7 @@ import pytest
 
 from repro import semi_lazy_update
 from repro.core.peeling import make_lhdh_heap, make_plain_heap, peel_below
+from repro.engine import EngineConfig
 from repro.graph.disk_graph import DiskGraph
 from repro.graph.generators import gnp_random
 from repro.semiexternal.support import compute_supports
@@ -41,8 +42,7 @@ def test_capacity_sweep(benchmark, graphs, capacity):
     outcome = {}
 
     def run():
-        device = BlockDevice.for_semi_external(graph.n)
-        outcome["result"] = semi_lazy_update(graph, device=device,
+        outcome["result"] = semi_lazy_update(graph, context=EngineConfig(),
                                              capacity=capacity)
 
     benchmark.pedantic(run, rounds=1, iterations=1)

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.dynamic import DynamicMaxTruss, apply_batch
-from repro.storage import BlockDevice
+from repro.engine import EngineConfig, ExecutionContext
 
 from conftest import BenchReport
 
@@ -41,9 +41,9 @@ def test_batch_vs_sequential(benchmark, graphs, dataset, mode):
     outcome = {}
 
     def run():
-        device = BlockDevice.for_semi_external(graph.n)
-        state = DynamicMaxTruss(graph, device=device)
-        io_start = device.stats.snapshot()
+        context = ExecutionContext(EngineConfig())
+        state = DynamicMaxTruss(graph, context=context)
+        io_start = context.stats.snapshot()
         start = time.perf_counter()
         if mode == "sequential":
             for u, v in deletions:
@@ -51,7 +51,7 @@ def test_batch_vs_sequential(benchmark, graphs, dataset, mode):
         else:
             apply_batch(state, [("delete", u, v) for u, v in deletions])
         outcome["elapsed"] = time.perf_counter() - start
-        outcome["io"] = device.stats.since(io_start).total_ios
+        outcome["io"] = context.stats.since(io_start).total_ios
         outcome["k_max"] = state.k_max
         outcome["pairs"] = state.truss_pairs()
 
@@ -69,14 +69,10 @@ def test_modes_agree(benchmark, graphs):
     outcome = {}
 
     def run():
-        sequential = DynamicMaxTruss(
-            graph, device=BlockDevice.for_semi_external(graph.n)
-        )
+        sequential = DynamicMaxTruss(graph, context=EngineConfig())
         for u, v in deletions:
             sequential.delete(u, v)
-        batched = DynamicMaxTruss(
-            graph, device=BlockDevice.for_semi_external(graph.n)
-        )
+        batched = DynamicMaxTruss(graph, context=EngineConfig())
         apply_batch(batched, [("delete", u, v) for u, v in deletions])
         outcome["match"] = (
             sequential.k_max == batched.k_max

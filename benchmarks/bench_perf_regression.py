@@ -56,8 +56,9 @@ Sections
     and fsyncs/edge <= 2/batch_size; the section also records the
     pipeline's sustained edges/sec.
 ``parallel``
-    Speedup-vs-workers (1/2/4) for the sharded kernels: the support scan
-    and a full semi-binary run, serial vs ``EngineConfig(workers=...)``.
+    Speedup-vs-workers (1/2/4): the sharded support scan, and a full
+    semi-binary run (whose peel stays serial) serial vs
+    ``EngineConfig(workers=...)``.
     Every parallel run must produce bit-identical values and charge a
     bit-identical merged I/O bill (total + per-extent) — asserted, the
     ledger-merge contract — and the full-scale scan must reach
@@ -597,7 +598,7 @@ def _parallel_scan_once(graph, context) -> tuple:
 
 
 def bench_parallel(scan_graph, decomp_graph, reps: int, smoke: bool) -> dict:
-    """Speedup-vs-workers for the sharded kernels, equivalence asserted.
+    """Speedup-vs-workers for the sharded scan, equivalence asserted.
 
     The support scan (the paper's dominant phase, and the acceptance
     criterion: >= ``PARALLEL_SPEEDUP_THRESHOLD`` at 4 workers in full

@@ -5,12 +5,17 @@ buffer pool, breaking down read/write I/O, peak model memory and runtime —
 a miniature of the paper's Fig 5 — and then demonstrates the LHDH capacity
 knob (memory vs. spill-I/O trade-off).
 
+Storage reaches every algorithm through ``context=``: an
+:class:`~repro.engine.EngineConfig` is the recipe (backend, block size,
+pool size and policy), and each run gets a fresh
+:class:`~repro.engine.ExecutionContext` so no warm cache leaks between
+runs. The default config sizes the pool for the semi-external model.
+
 Run:  python examples/external_memory_demo.py
 """
 
-from repro import max_truss, semi_lazy_update
+from repro import EngineConfig, ExecutionContext, max_truss, semi_lazy_update
 from repro.graph.datasets import load_dataset_with_spec
-from repro.storage import BlockDevice
 
 
 def main() -> None:
@@ -18,6 +23,7 @@ def main() -> None:
     print(f"dataset {spec.name}: stand-in for {spec.paper_name} "
           f"(paper: {spec.paper_m:,} edges, k_max={spec.paper_kmax})")
     print(f"stand-in size: n={graph.n} m={graph.m}\n")
+    config = EngineConfig()  # simulated backend, semi-external pool
 
     header = f"{'algorithm':>18} {'k_max':>6} {'reads':>8} {'writes':>8} " \
              f"{'mem(B)':>9} {'time(s)':>8}"
@@ -25,16 +31,14 @@ def main() -> None:
     print("-" * len(header))
     for method in ("top-down", "semi-binary", "semi-greedy-core",
                    "semi-lazy-update"):
-        device = BlockDevice.for_semi_external(graph.n)
-        result = max_truss(graph, method=method, device=device)
+        result = max_truss(graph, method=method, context=ExecutionContext(config))
         print(f"{result.algorithm:>18} {result.k_max:>6} "
               f"{result.io.read_ios:>8} {result.io.write_ios:>8} "
               f"{result.peak_memory_bytes:>9} {result.elapsed_seconds:>8.2f}")
 
     print("\nLHDH dynamic-heap capacity sweep (memory vs. spill I/O):")
     for capacity in (4, 64, 1024, graph.n):
-        device = BlockDevice.for_semi_external(graph.n)
-        result = semi_lazy_update(graph, device=device, capacity=capacity)
+        result = semi_lazy_update(graph, context=config, capacity=capacity)
         print(f"  capacity={capacity:>5}: io={result.io.total_ios:>7} "
               f"peak_mem={result.peak_memory_bytes:>8}B k_max={result.k_max}")
 

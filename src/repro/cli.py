@@ -127,7 +127,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="worker processes for the sharded kernels (0/1: serial; "
+        help="worker processes for the sharded support scan (0/1: serial; "
              "the charged I/O bill is identical either way)",
     )
     approx = parser.add_argument_group("approximate tier")

@@ -1,14 +1,14 @@
 """Engine layer: one execution context + pluggable storage backends.
 
-Centralises what used to be per-function ``device=None`` plumbing:
+Storage reaches every algorithm one way, through ``context=``:
 
 * :class:`EngineConfig` — the declarative recipe (backend, block size,
-  cache size/policy, batch fast path, work budget, trace hooks);
+  cache size/policy, work budget, trace hooks);
 * :class:`ExecutionContext` — the live run state (device construction,
   I/O + memory aggregation, phases);
 * the **backend registry** — ``simulated`` / ``reference`` / ``inmemory``
-  built in, :func:`register_backend` for new ones (e.g. a future
-  mmap-file device).
+  built in (plus ``file`` and ``mmap`` from :mod:`repro.persistence`),
+  :func:`register_backend` for new ones.
 
 Typical use::
 

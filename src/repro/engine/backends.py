@@ -10,8 +10,7 @@ Built-ins
 ---------
 ``simulated``
     Today's :class:`~repro.storage.BlockDevice` — the block-I/O simulator
-    with the vectorized batch accounting (or the scalar loop when the
-    config disables ``batch_fast_path``).
+    with the vectorized batch accounting.
 ``reference``
     :class:`~repro.storage.ReferenceBlockDevice` — the executable scalar
     spec of the accounting contract; identical counts, no fast path.
@@ -116,8 +115,7 @@ def _build_simulated(
 
 
 def _simulated_backend(config, num_vertices, stats):
-    cls = BlockDevice if config.batch_fast_path else ReferenceBlockDevice
-    return _build_simulated(cls, config, num_vertices, stats)
+    return _build_simulated(BlockDevice, config, num_vertices, stats)
 
 
 def _reference_backend(config, num_vertices, stats):

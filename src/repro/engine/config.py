@@ -1,11 +1,10 @@
 """Engine configuration: one declarative recipe for a storage setup.
 
-Before the engine layer existed, every consumer of the semi-external model
-re-plumbed ``device: Optional[BlockDevice] = None`` by hand, so block size,
-cache size, replacement policy and work budgets could not be pinned
-consistently across an experiment. :class:`EngineConfig` centralises those
-knobs; an :class:`~repro.engine.context.ExecutionContext` turns a config
-into live devices/meters and threads them through the algorithms.
+:class:`EngineConfig` holds every storage knob — block size, cache size,
+replacement policy, work budgets — so they are pinned consistently
+across an experiment; an :class:`~repro.engine.context.ExecutionContext`
+turns a config into live devices/meters and threads them through the
+algorithms.
 
 A config is a *recipe*, not a run: it is cheap, immutable in spirit, and
 reusable — build one per experiment and derive a fresh context per run
@@ -67,11 +66,6 @@ class EngineConfig:
     headroom:
         Multiplier for the auto-sized pool (ignored when *cache_blocks*
         is explicit).
-    batch_fast_path:
-        Whether the ``simulated`` backend uses the vectorized batch
-        accounting (PR-1 fast path). ``False`` routes batch touches
-        through the scalar reference loop — identical I/O, slower, useful
-        when auditing a new access pattern.
     work_limit:
         Optional cap on abstract work units per run; algorithms receive a
         fresh :class:`~repro._util.WorkBudget` built from it, and
@@ -97,15 +91,14 @@ class EngineConfig:
         physical-residency model for adjacency/edge pages). Ignored by
         the other backends; never affects the charged bill.
     workers:
-        Process-pool size for the sharded kernels (``repro.parallel``).
+        Process-pool size for the sharded support scan (``repro.parallel``).
         ``0`` or ``1`` (default) runs everything serially. Parallel runs
         produce bit-identical results and charge a bit-identical I/O bill
         (the ledger-merge replay — see docs/io_model.md).
     parallel_threshold:
-        Minimum work size (edges for a support scan, wave width for a
-        peel round) before a kernel is sharded; smaller kernels run
-        serially to dodge dispatch overhead. Gating never affects the
-        charged bill.
+        Minimum edge count before a support scan is sharded; smaller
+        scans run serially to dodge dispatch overhead. Gating never
+        affects the charged bill.
     trace:
         Optional hook called as ``trace(event, payload)`` at engine events
         (device construction, phase boundaries).
@@ -161,7 +154,6 @@ class EngineConfig:
     cache_blocks: Optional[int] = None
     cache_policy: str = "lru"
     headroom: float = 4.0
-    batch_fast_path: bool = True
     work_limit: Optional[int] = None
     data_dir: Optional[str] = None
     fsync_policy: str = "close"
@@ -291,7 +283,6 @@ class EngineConfig:
             "cache_blocks": self.cache_blocks,
             "cache_policy": self.cache_policy,
             "headroom": self.headroom,
-            "batch_fast_path": self.batch_fast_path,
             "work_limit": self.work_limit,
             "data_dir": self.data_dir,
             "fsync_policy": self.fsync_policy,
@@ -322,8 +313,6 @@ class EngineConfig:
             f"cache_blocks={cache}",
             f"policy={self.cache_policy}",
         ]
-        if not self.batch_fast_path:
-            parts.append("fast_path=off")
         if self.workers > 1:
             parts.append(f"workers={self.workers}")
         if self.work_limit is not None:

@@ -4,15 +4,15 @@ Mirrors the tracer's ambient-stack pattern
 (:mod:`repro.observability.tracer`): an :class:`ExecutionContext` with
 ``config.workers > 1`` owns one lazily-built :class:`ParallelExecutor`
 and activates it around an algorithm run via
-``context.parallel_kernels()``; leaf kernels (``compute_supports``,
-``peel_below``) consult :func:`active_executor` and dispatch to the
-sharded path when the work is large enough — no signature threading, and
-probes deep inside the binary search parallelize for free.
+``context.parallel_kernels()``; the support scan (``compute_supports``)
+consults :func:`active_executor` and dispatches to the sharded path when
+the work is large enough — no signature threading, and probes deep
+inside the binary search parallelize for free.
 
-Gating can never change the bill: the parallel paths replay the exact
+Gating can never change the bill: the parallel scan replays the exact
 serial touch sequence (see :mod:`repro.parallel.ledger`), so whether a
-given scan or wave crossed ``parallel_threshold`` is invisible to the
-charged ledger.
+given scan crossed ``parallel_threshold`` is invisible to the charged
+ledger.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ DENSE_BUDGET_BYTES = 256 * 1024 * 1024
 
 #: Published images kept alive at once; oldest dropped first. Probe
 #: subgraphs arrive in a stream — a tiny cache bounds shared memory while
-#: keeping the repeated-peel-wave case hot.
+#: keeping a repeatedly scanned graph hot.
 _IMAGE_CACHE_SLOTS = 4
 
 
@@ -57,10 +57,6 @@ class ParallelExecutor:
     def wants_scan(self, n: int, m: int) -> bool:
         """Shard the support scan when the edge count crosses the threshold."""
         return not self._closed and m >= max(1, self.parallel_threshold)
-
-    def wants_wave(self, wave_size: int) -> bool:
-        """Precompute partner tables when a peel wave is wide enough."""
-        return not self._closed and wave_size >= max(1, self.parallel_threshold)
 
     # ------------------------------------------------------------------ #
     # pool / image management

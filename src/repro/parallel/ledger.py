@@ -35,8 +35,8 @@ class LedgerMismatch(ReproError):
 class WorkerLedger:
     """What one worker did: its shard and the touches it claims.
 
-    ``touch_claims`` maps extent *suffix* (``adj``, ``adjeids``, ``sup``,
-    ``edges``) to the number of block touches the shard's access sequence
+    ``touch_claims`` maps extent *suffix* (``adj``, ``adjeids``, ``sup``)
+    to the number of block touches the shard's access sequence
     spans; the merge resolves suffixes against the live extent names and
     fills in ``charged`` from its replay delta.
     """

@@ -79,7 +79,7 @@ class SharedGraphImage:
     """Parent-side handle on one published CSR image (+ optional extras).
 
     ``arrays`` maps field name (``offsets``, ``adj``, ``adj_eids``,
-    ``edges``, optionally ``dense``) to its shared segment; ``descriptors``
+    optionally ``dense``) to its shared segment; ``descriptors``
     is the picklable payload broadcast to workers.
     """
 
@@ -120,7 +120,6 @@ def publish_graph(key: int, graph, dense_budget_bytes: int = 0) -> SharedGraphIm
     image.add("offsets", graph.offsets)
     image.add("adj", graph.adj)
     image.add("adj_eids", graph.adj_eids)
-    image.add("edges", np.asarray(graph.edges).reshape(-1))
     n = graph.n
     if n and graph.m >= n and 4 * n * n <= dense_budget_bytes:
         dense = np.zeros((n, n), dtype=np.float32)

@@ -14,7 +14,7 @@ decrements cost no I/O. The protocol implemented here is Algorithm 4
 
 The structure exposes the uniform *peel-heap protocol* consumed by
 :mod:`repro.core.peeling`: ``min_key``, ``pop_min``, ``collect_min_class``,
-``pop_edge``, ``key_if_alive``, ``decrement_edge``, ``after_kernel``,
+``pop_edge``, ``probe_keys``, ``decrement_edges``, ``after_kernel``,
 ``__len__``.
 """
 
@@ -132,39 +132,11 @@ class LHDH:
     # kernel operations (Algorithm 4)
     # ------------------------------------------------------------------ #
 
-    def key_if_alive(self, eid: int) -> Optional[int]:
-        """Current key of *eid*, or ``None`` if it was already deleted.
-
-        Dynamic-heap membership is free; a linear-heap probe is charged.
-        """
-        if eid in self.dheap:
-            return self.dheap.key_of(eid)
-        if self.lheap.contains(eid):
-            return self.lheap.key_of(eid)
-        return None
-
-    def decrement_edge(self, eid: int, level: int) -> None:
-        """Apply Alg 4 lines 4–12 to neighbour edge *eid* at peel *level*.
-
-        An edge with key ``<= level`` is pending deletion at this level and
-        is left untouched; otherwise its key drops by one — migrating it
-        from disk into the dynamic heap on first touch.
-        """
-        if eid in self.dheap:
-            if self.dheap.key_of(eid) > level:
-                self.dheap.decrement(eid)
-            return
-        key = self.lheap.key_of(eid)
-        if key > level:
-            self.lheap.remove(eid)
-            self.dheap.push(eid, key - 1)
-            self._recharge()
-
     def probe_keys(self, eids: np.ndarray) -> np.ndarray:
-        """Batched :meth:`key_if_alive`: current key per edge, ``-1`` if dead.
+        """Current key per edge, ``-1`` if it was already deleted.
 
-        Dynamic-heap residents are answered from memory; the rest share one
-        batched linear-heap probe (run-compressed disk reads).
+        Dynamic-heap residents are answered from memory (free); the rest
+        share one batched linear-heap probe (run-compressed disk reads).
         """
         eids = np.asarray(eids, dtype=np.int64)
         out = np.empty(len(eids), dtype=np.int64)
@@ -179,8 +151,13 @@ class LHDH:
         return out
 
     def decrement_edges(self, eids: np.ndarray, keys: np.ndarray, level: int) -> None:
-        """Batched :meth:`decrement_edge` for edges whose keys were just
-        probed (*keys* aligned with *eids*); one memory recharge at the end.
+        """Apply Alg 4 lines 4–12 to neighbour edges at peel *level*.
+
+        *keys* are the :meth:`probe_keys` answers aligned with *eids*. An
+        edge with key ``<= level`` is pending deletion at this level and is
+        left untouched; otherwise its key drops by one — migrating it from
+        disk into the dynamic heap on first touch (repeated decrements of
+        a dynamic-heap resident are free). One memory recharge at the end.
         """
         for eid, key in zip(
             np.asarray(eids, dtype=np.int64).tolist(),

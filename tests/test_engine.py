@@ -5,13 +5,14 @@ Three families of guarantees:
 * **Answer round-trip** — every registered backend runs all six
   ``max_truss`` methods and insert/delete maintenance and agrees on
   ``k_max`` and the truss edge set.
-* **Bit-identity** — the ``simulated`` backend driven through an
-  :class:`ExecutionContext` reproduces the exact pre-refactor ``IOStats``
-  and per-extent breakdown of the historical ``device=`` path on the
-  seeded graphs of ``tests/test_batch_equivalence.py``.
-* **Engine mechanics** — backend registry errors, the ``device=`` adapter
-  shim, work budgets minted from the config, phase aggregation across a
-  shared context, and trace hooks.
+* **Bit-identity** — the ``mmap`` backend bills exactly like
+  ``simulated``, and a call without ``context=`` bills exactly like the
+  default config. The absolute bills are pinned in
+  ``tests/test_golden_bills.py``.
+* **Engine mechanics** — backend registry errors, context resolution
+  (``context=`` is the only way storage reaches an algorithm), work
+  budgets minted from the config, phase aggregation across a shared
+  context, and trace hooks.
 """
 
 from __future__ import annotations
@@ -33,11 +34,9 @@ from repro.graph.disk_graph import DiskGraph
 from repro.graph.generators import barabasi_albert, gnm_random, paper_example_graph
 from repro.observability import Tracer, summarize_trace
 from repro.observability.metrics import global_metrics, pop_metrics, push_metrics
-from repro.semiexternal.support import compute_supports
 from repro.storage import (
     BlockDevice,
     InMemoryBlockDevice,
-    MemoryMeter,
     ReferenceBlockDevice,
 )
 from repro.structures.linear_heap import LinearHeap
@@ -113,9 +112,8 @@ class TestBackendRoundTrip:
             bills[backend] = (result.io.read_ios, result.io.write_ios)
         assert bills["simulated"] == bills["reference"]
 
-    def test_batch_fast_path_off_routes_to_reference_device(self):
-        config = EngineConfig(batch_fast_path=False)
-        device = ExecutionContext(config).device_for(50)
+    def test_reference_backend_builds_reference_device(self):
+        device = ExecutionContext(EngineConfig(backend="reference")).device_for(50)
         assert isinstance(device, ReferenceBlockDevice)
 
     def test_inmemory_backend_builds_inmemory_device(self):
@@ -124,53 +122,24 @@ class TestBackendRoundTrip:
 
 
 # --------------------------------------------------------------------- #
-# bit-identity vs the pre-refactor device= path (seeded graphs)
+# the default call (absolute bills live in tests/test_golden_bills.py)
 # --------------------------------------------------------------------- #
 
 
 class TestSimulatedBitIdentity:
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("method", SEMI_METHODS)
-    def test_decomposition_io_identical_to_device_path(self, method, policy):
-        graph = barabasi_albert(120, attach=5, seed=7)
-        device = BlockDevice(block_size=64, cache_blocks=32, policy=policy)
-        legacy = max_truss(graph, method=method, device=device)
-        context = ExecutionContext(EngineConfig(
-            block_size=64, cache_blocks=32, cache_policy=policy
-        ))
-        engine = max_truss(graph, method=method, context=context)
-        assert engine.k_max == legacy.k_max
-        assert engine.io.read_ios == legacy.io.read_ios
-        assert engine.io.write_ios == legacy.io.write_ios
-        assert context.device.io_by_extent() == device.io_by_extent()
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_support_scan_io_identical_to_device_path(self, policy):
-        graph = gnm_random(60, 700, seed=5)
-        device = BlockDevice(block_size=64, cache_blocks=16, policy=policy)
-        legacy = compute_supports(DiskGraph(graph, device, MemoryMeter()))
-        context = ExecutionContext(EngineConfig(
-            block_size=64, cache_blocks=16, cache_policy=policy
-        ))
-        engine = compute_supports(
-            DiskGraph(graph, context.device_for(graph.n), context.memory)
-        )
-        assert engine.triangle_count == legacy.triangle_count
-        assert context.stats.read_ios == device.stats.read_ios
-        assert context.stats.write_ios == device.stats.write_ios
-        assert context.device.io_by_extent() == device.io_by_extent()
-
     def test_default_call_unchanged_by_the_refactor(self):
+        """No ``context=`` bills exactly like the default config, whose
+        pool is sized as ``BlockDevice.for_semi_external``."""
         graph = barabasi_albert(120, attach=5, seed=7)
         bare = max_truss(graph, method="semi-lazy-update")
-        pinned = max_truss(
-            graph,
-            method="semi-lazy-update",
-            device=BlockDevice.for_semi_external(graph.n),
-        )
+        context = ExecutionContext(EngineConfig())
+        pinned = max_truss(graph, method="semi-lazy-update", context=context)
         assert bare.io.read_ios == pinned.io.read_ios
         assert bare.io.write_ios == pinned.io.write_ios
         assert bare.peak_memory_bytes == pinned.peak_memory_bytes
+        expected = BlockDevice.for_semi_external(graph.n)
+        assert context.device.cache_blocks == expected.cache_blocks
+        assert context.device.block_size == expected.block_size
 
 
 # --------------------------------------------------------------------- #
@@ -287,22 +256,19 @@ class TestRegistry:
 
 
 # --------------------------------------------------------------------- #
-# context resolution, shims and budgets
+# context resolution and budgets
 # --------------------------------------------------------------------- #
 
 
 class TestContextMechanics:
     def test_device_and_context_together_rejected(self, example):
-        with pytest.raises(DeviceError, match="not both"):
+        """``context=`` is the one way in: no entry point takes a device."""
+        with pytest.raises(TypeError, match="device"):
             max_truss(
                 example,
                 device=BlockDevice(),
                 context=ExecutionContext(),
             )
-
-    def test_in_memory_method_rejects_device(self, example):
-        with pytest.raises(ValueError, match="in-memory"):
-            max_truss(example, method="in-memory", device=BlockDevice())
 
     def test_in_memory_method_accepts_context(self, example, truth):
         context = ExecutionContext(EngineConfig(backend="inmemory"))
@@ -318,14 +284,6 @@ class TestContextMechanics:
     def test_resolve_rejects_foreign_objects(self):
         with pytest.raises(DeviceError, match="ExecutionContext or EngineConfig"):
             resolve_context(context="simulated")
-
-    def test_device_shim_pins_the_callers_device(self, example):
-        device = BlockDevice(block_size=64, cache_blocks=16)
-        context = resolve_context(device=device)
-        assert context.device is device
-        assert context.stats is device.stats
-        max_truss(example, method="semi-binary", device=device)
-        assert device.stats.total_ios > 0
 
     def test_work_limit_minted_from_config(self, example):
         config = EngineConfig(work_limit=3)

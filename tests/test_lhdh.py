@@ -1,5 +1,10 @@
-"""Tests for the composite LHDH structure."""
+"""Tests for the composite LHDH structure.
 
+Decrements go through the batched peel-heap protocol the peel kernel
+drives: ``probe_keys`` then ``decrement_edges`` with the probed keys.
+"""
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +21,12 @@ def _build(keys, capacity=4, writeback=False):
     return heap, device
 
 
+def _decrement(heap, eids, level):
+    """One kernel round: probe *eids* as a batch, decrement with the keys."""
+    eids = np.asarray(eids, dtype=np.int64)
+    heap.decrement_edges(eids, heap.probe_keys(eids), level)
+
+
 class TestBasics:
     def test_initially_all_in_lheap(self):
         heap, _ = _build([3, 1, 2])
@@ -24,13 +35,13 @@ class TestBasics:
 
     def test_min_key_across_components(self):
         heap, _ = _build([5, 3, 9])
-        heap.decrement_edge(0, 0)  # moves eid 0 into dheap at key 4
+        _decrement(heap, [0], 0)  # moves eid 0 into dheap at key 4
         assert 0 in heap.dheap
         assert heap.min_key() == 3
 
     def test_pop_min_global(self):
         heap, _ = _build([5, 3, 9])
-        heap.decrement_edge(2, 0)  # eid 2 -> dheap at 8
+        _decrement(heap, [2], 0)  # eid 2 -> dheap at 8
         popped = [heap.pop_min() for _ in range(3)]
         assert [key for _, key in popped] == [3, 5, 8]
 
@@ -46,66 +57,75 @@ class TestBasics:
 
 
 class TestKernelProtocol:
-    def test_key_if_alive(self):
-        heap, _ = _build([4, 2])
-        assert heap.key_if_alive(0) == 4
+    def test_probe_keys(self):
+        heap, _ = _build([4, 2, 7])
+        assert heap.probe_keys(np.array([0, 1, 2])).tolist() == [4, 2, 7]
         heap.pop_min()  # removes eid 1
-        assert heap.key_if_alive(1) is None
+        _decrement(heap, [2], 0)  # eid 2 -> dheap at 6
+        assert heap.probe_keys(np.array([2, 1, 0])).tolist() == [6, -1, 4]
+        assert heap.probe_keys(np.array([], dtype=np.int64)).tolist() == []
 
     def test_decrement_moves_to_dheap(self):
         heap, _ = _build([4, 2])
-        heap.decrement_edge(0, 2)
+        _decrement(heap, [0], 2)
         assert 0 in heap.dheap
         assert heap.dheap.key_of(0) == 3
         assert len(heap.lheap) == 1
 
     def test_decrement_at_level_is_noop(self):
         heap, _ = _build([2, 2])
-        heap.decrement_edge(0, 2)  # key == level: pending deletion
+        _decrement(heap, [0, 1], 2)  # key == level: pending deletion
         assert 0 not in heap.dheap
-        assert heap.key_if_alive(0) == 2
+        assert 1 not in heap.dheap
+        assert heap.probe_keys(np.array([0, 1])).tolist() == [2, 2]
+
+    def test_decrement_at_level_is_noop_in_dheap(self):
+        heap, _ = _build([5, 3])
+        _decrement(heap, [0], 0)     # eid 0 -> dheap at 4
+        _decrement(heap, [0, 1], 4)  # both at or below the level
+        assert heap.dheap.key_of(0) == 4
+        assert heap.probe_keys(np.array([0, 1])).tolist() == [4, 3]
 
     def test_repeated_decrements_stay_in_memory(self):
         heap, device = _build([10, 0])
-        heap.decrement_edge(0, 0)
+        _decrement(heap, [0], 0)
         device.drop_cache()
         device.stats.reset()
-        heap.decrement_edge(0, 0)
-        heap.decrement_edge(0, 0)
-        assert device.stats.total_ios == 0  # pure dheap updates
+        _decrement(heap, [0], 0)
+        _decrement(heap, [0], 0)
+        assert device.stats.total_ios == 0  # pure dheap probes and updates
         assert heap.dheap.key_of(0) == 7
 
     def test_spill_on_overflow(self):
         heap, _ = _build([9, 9, 9, 9, 9, 0], capacity=2)
-        for eid in range(5):
-            heap.decrement_edge(eid, 0)
+        _decrement(heap, range(5), 0)
         heap.after_kernel()
         assert len(heap.dheap) <= 2
 
     def test_writeback_when_dheap_top_is_min(self):
         """Paper-exact mode (Alg 4 lines 18-20)."""
         heap, _ = _build([5, 9], writeback=True)
-        heap.decrement_edge(0, 0)   # dheap: (0, 4); lheap min = 9
+        _decrement(heap, [0], 0)    # dheap: (0, 4); lheap min = 9
         heap.after_kernel()         # 4 <= 9: written back
         assert 0 not in heap.dheap
         assert heap.lheap.key_of(0) == 4
 
     def test_writeback_keeps_smaller_lheap_min(self):
         heap, _ = _build([5, 1], writeback=True)
-        heap.decrement_edge(0, 1)   # dheap: (0, 4); lheap min = 1
+        _decrement(heap, [0], 1)    # dheap: (0, 4); lheap min = 1
         heap.after_kernel()
         assert 0 in heap.dheap      # 1 < 4: stays lazy
 
     def test_writeback_off_by_default(self):
         heap, _ = _build([5, 9])
-        heap.decrement_edge(0, 0)
+        _decrement(heap, [0], 0)
         heap.after_kernel()
         assert 0 in heap.dheap      # lazy mode keeps it in memory
         assert heap.pop_min() == (0, 4)  # still pops the true minimum
 
     def test_live_items_spans_components(self):
         heap, _ = _build([4, 2, 6])
-        heap.decrement_edge(2, 2)
+        _decrement(heap, [2, 1], 2)  # eid 1 sits at the level: untouched
         items = dict(heap.live_items())
         assert items == {0: 4, 1: 2, 2: 5}
 
@@ -120,10 +140,8 @@ class TestKernelProtocol:
        st.integers(min_value=1, max_value=8))
 def test_drain_sorted_after_random_decrements(keys, capacity):
     heap, _ = _build(keys, capacity=capacity)
-    # Decrement a deterministic subset above level 0.
-    for eid in range(0, len(keys), 3):
-        if heap.key_if_alive(eid) is not None and heap.key_if_alive(eid) > 1:
-            heap.decrement_edge(eid, 1)
+    # Decrement a deterministic subset above level 1 as one batch.
+    _decrement(heap, range(0, len(keys), 3), 1)
     heap.after_kernel()
     drained = []
     while len(heap):

@@ -1,16 +1,15 @@
 """Parallel kernels: bit-identical results, bit-identical charged bill.
 
 The contract of ``repro.parallel`` (docs/io_model.md, "Parallel kernels
-and the ledger merge") is that sharding the support scans and peel waves
-over worker processes is *invisible* to everything the paper measures:
+and the ledger merge") is that sharding the support scans over worker
+processes is *invisible* to everything the paper measures:
 trussness output, total ``IOStats`` and the per-extent breakdown must all
 equal the serial run's exactly, for every worker count and backend,
 because the parent replays the canonical serial access sequence through
 its one buffer pool as the ledger merge. These tests pin that contract
 with an explicit workers x backends x methods matrix, a hypothesis sweep
-over random graphs, the deterministic-wave peel-order guarantee the merge
-relies on, and the worker-teardown idempotence of
-``ExecutionContext.close``.
+over random graphs, the deterministic-wave peel order, and the
+worker-teardown idempotence of ``ExecutionContext.close``.
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ METHODS = ("semi-binary", "semi-greedy-core")
 #: enough that the full matrix (plus pool spawns) stays quick.
 MATRIX_GRAPH = dict(n=100, m=900, seed=5)
 
-#: Low threshold so both the support scans (including every binary-search
-#: probe's) and the peel waves actually shard in the tests.
+#: Low threshold so the support scans (including every binary-search
+#: probe's) actually shard in the tests.
 THRESHOLD = 4
 
 
@@ -222,7 +221,7 @@ def test_property_random_graphs_parallel_equals_serial(n, density, seed):
 
 
 # --------------------------------------------------------------------- #
-# deterministic peel order (the waves the parallel tier relies on)
+# deterministic peel order (waves of one support class, ascending edge id)
 # --------------------------------------------------------------------- #
 
 

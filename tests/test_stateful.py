@@ -5,6 +5,7 @@ interleaved operation sequences and compare every observable against a
 trivially-correct model — the strongest structural guarantee in the suite.
 """
 
+import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
@@ -64,7 +65,7 @@ class LinearHeapMachine(RuleBasedStateMachine):
 
 
 class LHDHMachine(RuleBasedStateMachine):
-    """LHDH (decrement/pop protocol) vs a dict model."""
+    """LHDH (batched probe/decrement + pop protocol) vs a dict model."""
 
     def __init__(self):
         super().__init__()
@@ -82,18 +83,30 @@ class LHDHMachine(RuleBasedStateMachine):
         assert self.model.pop(eid) == key
 
     @precondition(lambda self: self.model)
-    @rule(data=st.data())
-    def decrement_above_min(self, data):
-        eid = data.draw(st.sampled_from(sorted(self.model)))
-        level = min(self.model.values()) - 1
-        if self.model[eid] > level and self.model[eid] > 1:
-            self.heap.decrement_edge(eid, level)
-            self.model[eid] -= 1
+    @rule(data=st.data(), at_min=st.booleans())
+    def decrement_batch(self, data, at_min):
+        """One kernel round: probe a batch of distinct edges, then decrement
+        them with the probed keys. At ``level == min`` the minimum class
+        is pending deletion and must stay untouched."""
+        eids = data.draw(st.lists(
+            st.sampled_from(sorted(self.model)), min_size=1, max_size=6,
+            unique=True,
+        ))
+        eids = [eid for eid in eids if self.model[eid] > 1]
+        level = min(self.model.values()) - (0 if at_min else 1)
+        batch = np.asarray(eids, dtype=np.int64)
+        keys = self.heap.probe_keys(batch)
+        assert keys.tolist() == [self.model[eid] for eid in eids]
+        self.heap.decrement_edges(batch, keys, level)
+        for eid in eids:
+            if self.model[eid] > level:
+                self.model[eid] -= 1
         self.heap.after_kernel()
 
-    @rule(eid=st.integers(0, MAX_EDGES - 1))
-    def probe(self, eid):
-        assert self.heap.key_if_alive(eid) == self.model.get(eid)
+    @rule(eids=st.lists(st.integers(0, MAX_EDGES - 1), min_size=1, max_size=4))
+    def probe(self, eids):
+        keys = self.heap.probe_keys(np.asarray(eids, dtype=np.int64))
+        assert keys.tolist() == [self.model.get(eid, -1) for eid in eids]
 
     @invariant()
     def min_matches(self):
