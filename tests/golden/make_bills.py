@@ -12,7 +12,14 @@ The golden file holds exact :class:`~repro.storage.IOStats` counters and
   insert/delete script at block 64 / cache 32;
 * ``semi_external`` — the three semi-external methods on youtube-s,
   wikipedia-s and arabic-s with the default engine config (the Fig 5
-  stand-ins).
+  stand-ins);
+* ``ingest_window`` — a seeded arrival stream through a sliding-window
+  :class:`~repro.dynamic.IngestPipeline` (window 20, batch 7) into
+  :class:`~repro.dynamic.DynamicMaxTruss` at block 64 / cache 32;
+* ``physical_backends`` — semi-binary on youtube-s through the ``file``
+  and ``mmap`` backends at the default auto-sized pool;
+* ``estimation`` — wedge-sampling ``estimate_triangle_count`` on
+  wikipedia-s (3,000 samples, ``default_rng(0)``).
 
 ``io`` is the closed context's bill, final flush included;
 ``result_io`` is the ``max_truss`` result's own bill (the figure
@@ -32,12 +39,16 @@ import json
 import pathlib
 from typing import Dict
 
+import numpy as np
+
 from repro import EngineConfig, ExecutionContext, max_truss
-from repro.dynamic import DynamicMaxTruss
+from repro.approx import AdjacencyProbe, estimate_triangle_count
+from repro.dynamic import DynamicMaxTruss, IngestPipeline
 from repro.dynamic.workload import mixed_churn
 from repro.graph.datasets import load_dataset
 from repro.graph.disk_graph import DiskGraph
 from repro.graph.generators import barabasi_albert, gnm_random
+from repro.graph.memgraph import Graph
 from repro.semiexternal.support import compute_supports
 
 GOLDEN_PATH = pathlib.Path(__file__).resolve().parent / "bills.json"
@@ -48,6 +59,7 @@ CHARGING_METHODS = (
 )
 SEMI_METHODS = ("semi-binary", "semi-greedy-core", "semi-lazy-update")
 SEMI_DATASETS = ("youtube-s", "wikipedia-s", "arabic-s")
+PHYSICAL_BACKENDS = ("file", "mmap")
 
 
 def _counters(stats) -> Dict[str, int]:
@@ -109,6 +121,50 @@ def semi_external_bill(dataset: str, method: str) -> Dict[str, object]:
     return _bill(context, k_max=result.k_max, result_io=_counters(result.io))
 
 
+def ingest_window_bill() -> Dict[str, object]:
+    rng = np.random.default_rng(13)
+    arrivals = []
+    while len(arrivals) < 120:
+        u, v = (int(x) for x in rng.integers(0, 16, size=2))
+        if u != v:
+            arrivals.append((u, v))
+    context = ExecutionContext(EngineConfig(block_size=64, cache_blocks=32))
+    state = DynamicMaxTruss(Graph.empty(0), context=context)
+    trace = []
+    with IngestPipeline(
+        state, window=20, batch_size=7,
+        on_batch_applied=lambda _ops: trace.append(state.k_max),
+    ) as pipe:
+        pipe.submit_many(arrivals)
+    stats = pipe.stats
+    return _bill(
+        context, k_max_trace=trace,
+        truss_pairs=[list(pair) for pair in state.truss_pairs()],
+        arrivals=stats.arrivals, expirations=stats.expirations,
+        duplicates_skipped=stats.duplicates_skipped,
+    )
+
+
+def physical_backend_bill(backend: str) -> Dict[str, object]:
+    graph = load_dataset("youtube-s")
+    context = ExecutionContext(EngineConfig(backend=backend))
+    result = max_truss(graph, method="semi-binary", context=context)
+    return _bill(context, k_max=result.k_max, result_io=_counters(result.io))
+
+
+def estimation_bill() -> Dict[str, object]:
+    graph = load_dataset("wikipedia-s")
+    context = ExecutionContext(EngineConfig())
+    probe = AdjacencyProbe(graph, context.device_for(graph.n))
+    estimate = estimate_triangle_count(
+        probe, 3000, 0.95, np.random.default_rng(0)
+    )
+    return _bill(
+        context, value=estimate.value, ci=[estimate.ci_low, estimate.ci_high],
+        charged_io=estimate.charged_io,
+    )
+
+
 def cases():
     """``(section, key, thunk)`` for every pinned run, in file order."""
     for method in CHARGING_METHODS:
@@ -122,6 +178,11 @@ def cases():
         for method in SEMI_METHODS:
             yield ("semi_external", f"{dataset}/{method}",
                    lambda d=dataset, m=method: semi_external_bill(d, m))
+    yield ("ingest_window", "window20/batch7", ingest_window_bill)
+    for backend in PHYSICAL_BACKENDS:
+        yield ("physical_backends", f"youtube-s/semi-binary/{backend}",
+               lambda b=backend: physical_backend_bill(b))
+    yield ("estimation", "wikipedia-s/triangles", estimation_bill)
 
 
 def compute_bills() -> Dict[str, Dict[str, object]]:
