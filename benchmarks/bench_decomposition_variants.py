@@ -12,8 +12,8 @@ Table: benchmarks/results/decomposition_variants.txt.
 import numpy as np
 import pytest
 
+from repro.approx import AdjacencyProbe, estimate_triangle_count
 from repro.baselines import bottom_up
-from repro.semiexternal.estimation import estimate_triangles
 from repro.semiexternal.truss_decomp import h_index_truss_decomposition
 from repro.engine import EngineConfig, ExecutionContext
 
@@ -89,16 +89,17 @@ def test_triangle_estimator_accuracy(benchmark, graphs):
 
     def run():
         context = ExecutionContext(EngineConfig())
-        estimate = estimate_triangles(graph, samples=3000, seed=0,
-                                      context=context)
-        outcome["estimate"] = estimate
+        probe = AdjacencyProbe(graph, context.device_for(graph.n))
+        outcome["estimate"] = estimate_triangle_count(
+            probe, 3000, 0.95, np.random.default_rng(0)
+        )
         outcome["io"] = context.stats.total_ios
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     exact = graph.triangle_count()
     estimate = outcome["estimate"]
-    error = abs(estimate.triangles - exact) / max(exact, 1)
+    error = abs(estimate.value - exact) / max(exact, 1)
     REPORT.add("wikipedia-s", "wedge-sampling estimate", "-", outcome["io"],
-               f"est={estimate.triangles:.0f} exact={exact} err={error:.1%}")
+               f"est={estimate.value:.0f} exact={exact} err={error:.1%}")
     REPORT.write()
     assert error < 0.30

@@ -1,8 +1,7 @@
 """Approximate answer tier: sampled estimates with confidence bounds.
 
-Promotes the wedge-sampling stub of ``repro.semiexternal.estimation``
-into a first-class subsystem (ROADMAP "Approximate tier"): charged
-sampling estimators (:mod:`~repro.approx.estimators`), the
+The repository's one home for sampling estimators: charged
+wedge/edge-sampling estimators (:mod:`~repro.approx.estimators`), the
 :class:`~repro.approx.estimate.Estimate` envelope they all speak, and the
 :class:`~repro.approx.engine.ApproxEngine` that serves trussness /
 ``k_max`` / membership-likelihood queries from cached sampled state.

@@ -516,14 +516,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               "--partition DIR", file=sys.stderr)
         return 2
     config = _engine_config(args)
-    config.serve_host = args.host
-    config.serve_port = args.port
-    config.serve_query_timeout = (
-        args.query_timeout if args.query_timeout and args.query_timeout > 0
-        else None
-    )
-    config.serve_promote_interval = args.promote_interval
-    config.validate()
 
     promoter = None
     router = None
@@ -536,16 +528,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     elif args.durable:
         manager = bootstrap_manager(args.durable)
-        promoter = Promoter(
-            manager, args.durable, interval=config.serve_promote_interval
-        )
+        promoter = Promoter(manager, args.durable, interval=args.promote_interval)
         promoter.start()
         executor = QueryEngine(manager, config)
         snapshot = manager.current()
         described = (
             f"durable state {args.durable} (n={snapshot.graph.n}, "
             f"m={snapshot.graph.m}, wal_seq={snapshot.wal_seq}, "
-            f"promoting every {config.serve_promote_interval}s)"
+            f"promoting every {args.promote_interval}s)"
         )
     else:
         graph = _load_graph(args.graph, args.seed, backend=args.backend)
@@ -559,9 +549,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         server = run_server(
             executor,
-            host=config.serve_host,
-            port=config.serve_port,
-            query_timeout=config.serve_query_timeout,
+            host=args.host,
+            port=args.port,
+            query_timeout=(
+                args.query_timeout if args.query_timeout > 0 else None
+            ),
             on_started=announce,
         )
     finally:
@@ -639,6 +631,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
+    from .serve.server import DEFAULT_HOST, DEFAULT_PORT, DEFAULT_QUERY_TIMEOUT
+    from .serve.snapshot import DEFAULT_PROMOTE_INTERVAL
+
     parser = argparse.ArgumentParser(
         prog="repro-truss",
         description="I/O efficient max-truss computation (ICDE 2024 reproduction)",
@@ -858,22 +853,22 @@ def build_parser() -> argparse.ArgumentParser:
              "through the scatter/gather router",
     )
     serve.add_argument(
-        "--host", default=EngineConfig().serve_host,
+        "--host", default=DEFAULT_HOST,
         help="bind address",
     )
     serve.add_argument(
-        "--port", type=int, default=EngineConfig().serve_port,
+        "--port", type=int, default=DEFAULT_PORT,
         help="bind port (0: ephemeral, announced on stdout)",
     )
     serve.add_argument(
         "--query-timeout", type=float,
-        default=EngineConfig().serve_query_timeout, metavar="SECONDS",
+        default=DEFAULT_QUERY_TIMEOUT, metavar="SECONDS",
         help="per-query budget; past it the query answers a timeout "
              "error envelope (0 or negative: no limit)",
     )
     serve.add_argument(
         "--promote-interval", type=float,
-        default=EngineConfig().serve_promote_interval, metavar="SECONDS",
+        default=DEFAULT_PROMOTE_INTERVAL, metavar="SECONDS",
         help="promoter poll interval for --durable",
     )
     serve.add_argument("--seed", type=int, default=0)

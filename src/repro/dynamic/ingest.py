@@ -31,12 +31,14 @@ Exactness is non-negotiable either way: for any accepted event sequence
 the final decomposition is bit-identical to per-op maintenance of that
 sequence (property-tested in ``tests/test_ingest.py``).
 
-With ``window=N`` the pipeline additionally maintains sliding-window
-semantics over *arrivals* (same rules as
-:class:`~repro.dynamic.stream.SlidingWindowTruss`: duplicate live edges
-skipped, the oldest live edge expires beyond the window). The window
-transformation runs at drain time, in queue order, so dropping a queued
-arrival under ``drop-oldest`` can never strand a half-applied edge.
+With ``window=N`` the pipeline maintains the ``k_max``-truss of the last
+*N* distinct edges of an *arrival* stream: an arrival of an edge that is
+already live is skipped, and each new arrival beyond the window expires
+the oldest live edge. The window transformation runs at drain time, in
+queue order, so dropping a queued arrival under ``drop-oldest`` can
+never strand a half-applied edge. Observers that want a per-batch view
+(e.g. the peak ``k_max`` of a stream) read the sink from
+``on_batch_applied``.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 Storage reaches every algorithm one way, through ``context=``:
 
 * :class:`EngineConfig` — the declarative recipe (backend, block size,
-  cache size/policy, work budget, trace hooks);
+  cache size/policy, work budget, parallel, ingest and approx settings);
 * :class:`ExecutionContext` — the live run state (device construction,
-  I/O + memory aggregation, phases);
+  I/O + memory aggregation, phases, the one trace channel:
+  :meth:`~ExecutionContext.attach_tracer`);
 * the **backend registry** — ``simulated`` / ``reference`` / ``inmemory``
   built in (plus ``file`` and ``mmap`` from :mod:`repro.persistence`),
   :func:`register_backend` for new ones.
@@ -21,7 +22,7 @@ Typical use::
     print(context.stats, context.memory)
 """
 
-from .config import EngineConfig, TraceHook
+from .config import EngineConfig
 from .backends import (
     BackendFactory,
     available_backends,
@@ -41,7 +42,6 @@ __all__ = [
     "EngineConfig",
     "ExecutionContext",
     "ContextLike",
-    "TraceHook",
     "BackendFactory",
     "available_backends",
     "list_backends",

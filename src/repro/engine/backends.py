@@ -95,15 +95,26 @@ def make_device(
     return factory(config, num_vertices, stats)
 
 
-def _build_simulated(
-    cls, config: EngineConfig, num_vertices: int, stats: Optional[IOStats]
+def build_device(
+    cls,
+    config: EngineConfig,
+    num_vertices: int,
+    stats: Optional[IOStats],
+    **extras,
 ) -> BlockDevice:
+    """Build a *cls* device with the config's pool: ``cache_blocks`` frames
+    when explicit, else the semi-external auto-size for *num_vertices*.
+
+    Every backend factory goes through here; *extras* are the backend's
+    own constructor arguments (e.g. the ``file`` backend's fsync policy).
+    """
     if config.cache_blocks is not None:
         return cls(
             config.block_size,
             config.cache_blocks,
             stats=stats,
             policy=config.cache_policy,
+            **extras,
         )
     return cls.for_semi_external(
         num_vertices,
@@ -111,19 +122,20 @@ def _build_simulated(
         headroom=config.headroom,
         stats=stats,
         policy=config.cache_policy,
+        **extras,
     )
 
 
 def _simulated_backend(config, num_vertices, stats):
-    return _build_simulated(BlockDevice, config, num_vertices, stats)
+    return build_device(BlockDevice, config, num_vertices, stats)
 
 
 def _reference_backend(config, num_vertices, stats):
-    return _build_simulated(ReferenceBlockDevice, config, num_vertices, stats)
+    return build_device(ReferenceBlockDevice, config, num_vertices, stats)
 
 
 def _inmemory_backend(config, num_vertices, stats):
-    return _build_simulated(InMemoryBlockDevice, config, num_vertices, stats)
+    return build_device(InMemoryBlockDevice, config, num_vertices, stats)
 
 
 register_backend("simulated", _simulated_backend)

@@ -14,14 +14,11 @@ purpose).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import DeviceError
 from ..storage import DEFAULT_BLOCK_SIZE
-
-#: Trace hook signature: ``hook(event_name, payload_dict)``.
-TraceHook = Callable[[str, Dict[str, Any]], None]
 
 _POLICIES = ("lru", "fifo", "clock")
 _FSYNC_POLICIES = ("never", "close", "always")
@@ -99,9 +96,6 @@ class EngineConfig:
         Minimum edge count before a support scan is sharded; smaller
         scans run serially to dodge dispatch overhead. Gating never
         affects the charged bill.
-    trace:
-        Optional hook called as ``trace(event, payload)`` at engine events
-        (device construction, phase boundaries).
     ingest_batch_size:
         Micro-batch flush threshold of
         :class:`repro.dynamic.ingest.IngestPipeline`; also the WAL
@@ -114,18 +108,6 @@ class EngineConfig:
     ingest_max_delay:
         Age-based flush trigger in seconds (oldest queued event); ``None``
         disables the age trigger.
-    serve_host:
-        Bind address of the ``repro serve`` query server.
-    serve_port:
-        TCP port of the query server; ``0`` (default) asks the OS for an
-        ephemeral port (echoed on startup).
-    serve_query_timeout:
-        Per-query wall-clock budget in seconds; a query that exceeds it is
-        answered with a ``timeout`` error envelope. ``None`` disables the
-        timeout.
-    serve_promote_interval:
-        Poll interval in seconds of the snapshot promoter thread between
-        notifications (the ingest hook wakes it early).
     serve_cache_entries:
         Capacity of the serve tier's per-snapshot result cache (answers
         are immutable per snapshot, so memoisation is exact). ``0``
@@ -161,15 +143,10 @@ class EngineConfig:
     cold_cache_mb: float = DEFAULT_COLD_CACHE_MB
     workers: int = 0
     parallel_threshold: int = 10_000
-    trace: Optional[TraceHook] = field(default=None, repr=False)
     ingest_batch_size: int = 64
     ingest_queue_capacity: int = 1024
     ingest_backpressure: str = "block"
     ingest_max_delay: Optional[float] = None
-    serve_host: str = "127.0.0.1"
-    serve_port: int = 0
-    serve_query_timeout: Optional[float] = 30.0
-    serve_promote_interval: float = 0.5
     serve_cache_entries: int = 1024
     approx_epsilon: float = 0.1
     approx_confidence: float = 0.95
@@ -243,22 +220,6 @@ class EngineConfig:
                 f"ingest_max_delay must be positive or None, "
                 f"got {self.ingest_max_delay}"
             )
-        if not self.serve_host:
-            raise DeviceError("serve_host must be a non-empty address")
-        if not 0 <= self.serve_port <= 65535:
-            raise DeviceError(
-                f"serve_port must be in [0, 65535], got {self.serve_port}"
-            )
-        if self.serve_query_timeout is not None and self.serve_query_timeout <= 0:
-            raise DeviceError(
-                f"serve_query_timeout must be positive or None, "
-                f"got {self.serve_query_timeout}"
-            )
-        if self.serve_promote_interval <= 0:
-            raise DeviceError(
-                f"serve_promote_interval must be positive, "
-                f"got {self.serve_promote_interval}"
-            )
         if self.serve_cache_entries < 0:
             raise DeviceError(
                 f"serve_cache_entries must be non-negative, "
@@ -294,10 +255,6 @@ class EngineConfig:
             "ingest_queue_capacity": self.ingest_queue_capacity,
             "ingest_backpressure": self.ingest_backpressure,
             "ingest_max_delay": self.ingest_max_delay,
-            "serve_host": self.serve_host,
-            "serve_port": self.serve_port,
-            "serve_query_timeout": self.serve_query_timeout,
-            "serve_promote_interval": self.serve_promote_interval,
             "serve_cache_entries": self.serve_cache_entries,
             "approx_epsilon": self.approx_epsilon,
             "approx_confidence": self.approx_confidence,

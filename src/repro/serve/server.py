@@ -9,7 +9,7 @@ concurrent execution safe.
 
 Lifecycle guarantees:
 
-* **per-query timeout** (``serve_query_timeout``): a query past budget is
+* **per-query timeout** (``query_timeout``): a query past budget is
   answered with a ``timeout`` error envelope (its worker finishes in the
   background; the connection stays usable);
 * **error envelopes**: malformed input and engine errors answer
@@ -36,10 +36,21 @@ from .protocol import (
     request_id_of,
 )
 
+#: Default bind address of :class:`TrussServer` and ``repro serve``.
+DEFAULT_HOST = "127.0.0.1"
+#: Default port; ``0`` asks the OS for an ephemeral one (announced on startup).
+DEFAULT_PORT = 0
+#: Default per-query wall-clock budget in seconds.
+DEFAULT_QUERY_TIMEOUT = 30.0
+
 
 class TrussServer:
     """The asyncio TCP server wrapping a :class:`QueryEngine`-compatible
     executor (:class:`~repro.serve.router.ShardedRouter` fits too).
+
+    *host* must be non-empty, *port* in ``[0, 65535]`` (``0``: ephemeral)
+    and *query_timeout* positive or ``None`` (no limit); anything else
+    raises :class:`~repro.errors.ServeError`.
 
     Example
     -------
@@ -52,10 +63,18 @@ class TrussServer:
     def __init__(
         self,
         engine: QueryEngine,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        query_timeout: Optional[float] = 30.0,
+        host: str = DEFAULT_HOST,
+        port: int = DEFAULT_PORT,
+        query_timeout: Optional[float] = DEFAULT_QUERY_TIMEOUT,
     ) -> None:
+        if not host:
+            raise ServeError("host must be a non-empty address")
+        if not 0 <= port <= 65535:
+            raise ServeError(f"port must be in [0, 65535], got {port}")
+        if query_timeout is not None and query_timeout <= 0:
+            raise ServeError(
+                f"query timeout must be positive or None, got {query_timeout}"
+            )
         self.engine = engine
         self.host = host
         self.port = port
@@ -182,9 +201,9 @@ class TrussServer:
 
 def run_server(
     engine: QueryEngine,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    query_timeout: Optional[float] = 30.0,
+    host: str = DEFAULT_HOST,
+    port: int = DEFAULT_PORT,
+    query_timeout: Optional[float] = DEFAULT_QUERY_TIMEOUT,
     on_started=None,
 ) -> TrussServer:
     """Blocking convenience: start, announce, serve until shutdown.

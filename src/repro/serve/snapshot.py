@@ -40,6 +40,10 @@ from ..observability.tracer import trace_span
 from ..persistence.recovery import CHECKPOINT_NAME, WAL_NAME
 from ..persistence.wal import read_wal
 
+#: Default poll period of :class:`Promoter` in seconds (and of the
+#: ``repro serve --promote-interval`` flag).
+DEFAULT_PROMOTE_INTERVAL = 0.5
+
 
 @dataclass(frozen=True)
 class Snapshot:
@@ -294,7 +298,7 @@ class Promoter:
         self,
         manager: SnapshotManager,
         directory: str,
-        interval: float = 0.5,
+        interval: float = DEFAULT_PROMOTE_INTERVAL,
     ) -> None:
         if interval <= 0:
             raise ServeError(f"promote interval must be positive, got {interval}")

@@ -383,3 +383,32 @@ class TestServe:
         assert re.search(r"listening on 127\.0\.0\.1:\d+", out)
         assert "drained; served 1 requests" in out
         assert answers and answers[0]["m"] == 15
+
+    @pytest.mark.parametrize("flag,expected", [("0", None), ("2.5", 2.5)])
+    def test_query_timeout_flag_reaches_server(
+        self, example_file, capsys, monkeypatch, flag, expected
+    ):
+        """The serve flags go straight to run_server; 0 means no limit."""
+        from repro.serve import server as server_module
+
+        seen = {}
+
+        class Drained:
+            requests_served = 0
+
+        def fake_run_server(engine, host, port, query_timeout, on_started=None):
+            seen.update(host=host, port=port, query_timeout=query_timeout)
+            return Drained()
+
+        monkeypatch.setattr(server_module, "run_server", fake_run_server)
+        assert main(["serve", example_file, "--query-timeout", flag]) == 0
+        assert seen == {
+            "host": server_module.DEFAULT_HOST,
+            "port": server_module.DEFAULT_PORT,
+            "query_timeout": expected,
+        }
+
+    def test_bad_port_is_typed_error(self, example_file, capsys):
+        assert main(["serve", example_file, "--port", "70000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "port" in err

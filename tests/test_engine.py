@@ -12,7 +12,7 @@ Three families of guarantees:
 * **Engine mechanics** — backend registry errors, context resolution
   (``context=`` is the only way storage reaches an algorithm), work
   budgets minted from the config, phase aggregation across a shared
-  context, and trace hooks.
+  context, and the events a bound tracer records.
 """
 
 from __future__ import annotations
@@ -309,9 +309,11 @@ class TestContextMechanics:
         assert total_phase_ios == context.stats.total_ios
 
     def test_trace_hook_sees_device_and_phases(self, example):
-        events = []
-        config = EngineConfig(trace=lambda event, payload: events.append(event))
-        max_truss(example, method="semi-binary", context=ExecutionContext(config))
+        records = []
+        with ExecutionContext(EngineConfig()) as context:
+            context.attach_tracer(Tracer(records.append))
+            max_truss(example, method="semi-binary", context=context)
+        events = [r["name"] for r in records if r["type"] == "event"]
         assert events[0] == "phase_start"
         assert "device" in events
         assert events[-1] == "phase_end"

@@ -9,7 +9,7 @@ from repro.baselines import max_truss_edges
 from repro.core.k_truss import k_truss_semi_external
 from repro.dynamic import (
     DynamicMaxTruss,
-    SlidingWindowTruss,
+    IngestPipeline,
     load_checkpoint,
     save_checkpoint,
 )
@@ -98,17 +98,18 @@ class TestMaintenanceLifecycle:
 
     def test_stream_on_dataset_edges(self):
         """Windowed stream over a real stand-in's edge sequence."""
-        graph = load_dataset("diseasome-s", seed=0)
-        stream = SlidingWindowTruss(window=200, batch_size=8)
-        stream.push_many(graph.edge_pairs()[:400])
-        assert stream.k_max >= 2
-        assert stream.live_edge_count() == 200
-        # The reported truss satisfies the definition intrinsically.
         from repro.graph.memgraph import Graph
 
-        truss = Graph.from_edges(stream.truss_pairs())
-        if stream.k_max >= 3:
-            assert int(truss.edge_supports().min()) >= stream.k_max - 2
+        graph = load_dataset("diseasome-s", seed=0)
+        state = DynamicMaxTruss(Graph.empty(0))
+        with IngestPipeline(state, window=200, batch_size=8) as pipe:
+            pipe.submit_many(graph.edge_pairs()[:400])
+        assert state.k_max >= 2
+        assert state.graph.m == 200
+        # The reported truss satisfies the definition intrinsically.
+        truss = Graph.from_edges(state.truss_pairs())
+        if state.k_max >= 3:
+            assert int(truss.edge_supports().min()) >= state.k_max - 2
 
 
 class TestDeviceSharingAcrossPhases:

@@ -27,6 +27,7 @@ from repro.serve import (
     QueryEngine,
     SnapshotManager,
     TrussClient,
+    TrussServer,
 )
 from repro.serve.protocol import decode_line, request_id_of, validate_request
 from repro.serve.server import run_server
@@ -185,8 +186,9 @@ class TestPromoter:
 
     def test_invalid_interval(self, tmp_path):
         manager = SnapshotManager.initial(triangle_graph())
-        with pytest.raises(ServeError, match="interval"):
-            Promoter(manager, tmp_path, interval=0)
+        for interval in (0, -0.5):
+            with pytest.raises(ServeError, match="interval"):
+                Promoter(manager, tmp_path, interval=interval)
 
 
 # --------------------------------------------------------------------- #
@@ -453,6 +455,25 @@ def _serve_in_thread(engine, query_timeout=30.0):
 
 
 class TestServer:
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(host=""), "host"),
+        (dict(port=-1), "port"),
+        (dict(port=65536), "port"),
+        (dict(query_timeout=0), "timeout"),
+        (dict(query_timeout=-1.0), "timeout"),
+    ])
+    def test_rejects_bad_settings(self, kwargs, match):
+        engine = QueryEngine(SnapshotManager.initial(paper_example_graph()))
+        with pytest.raises(ServeError, match=match):
+            TrussServer(engine, **kwargs)
+        with pytest.raises(ServeError, match=match):
+            run_server(engine, **kwargs)
+
+    def test_accepts_boundary_settings(self):
+        engine = QueryEngine(SnapshotManager.initial(paper_example_graph()))
+        server = TrussServer(engine, port=65535, query_timeout=None)
+        assert (server.port, server.query_timeout) == (65535, None)
+
     def test_end_to_end_queries_and_shutdown(self):
         graph = paper_example_graph()
         oracle = truss_decomposition(graph)
