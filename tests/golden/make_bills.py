@@ -19,7 +19,12 @@ The golden file holds exact :class:`~repro.storage.IOStats` counters and
 * ``physical_backends`` — semi-binary on youtube-s through the ``file``
   and ``mmap`` backends at the default auto-sized pool;
 * ``estimation`` — wedge-sampling ``estimate_triangle_count`` on
-  wikipedia-s (3,000 samples, ``default_rng(0)``).
+  wikipedia-s (3,000 samples, ``default_rng(0)``);
+* ``spilling_pool`` — the three semi-external methods on kron29-s with
+  the default engine config, whose auto-sized LRU pool is 16 blocks
+  (the benchmark's ``static-spill`` bills);
+* ``policies`` — the three semi-external methods on youtube-s under the
+  ``fifo`` and ``clock`` policies at the default auto-sized pool.
 
 ``io`` is the closed context's bill, final flush included;
 ``result_io`` is the ``max_truss`` result's own bill (the figure
@@ -60,6 +65,8 @@ CHARGING_METHODS = (
 SEMI_METHODS = ("semi-binary", "semi-greedy-core", "semi-lazy-update")
 SEMI_DATASETS = ("youtube-s", "wikipedia-s", "arabic-s")
 PHYSICAL_BACKENDS = ("file", "mmap")
+SPILL_DATASET = "kron29-s"
+POOL_POLICIES = ("fifo", "clock")
 
 
 def _counters(stats) -> Dict[str, int]:
@@ -114,9 +121,11 @@ def maintenance_bill() -> Dict[str, object]:
     return _bill(context, k_max_trace=trace)
 
 
-def semi_external_bill(dataset: str, method: str) -> Dict[str, object]:
+def semi_external_bill(
+    dataset: str, method: str, policy: str = "lru",
+) -> Dict[str, object]:
     graph = load_dataset(dataset)
-    context = ExecutionContext(EngineConfig())
+    context = ExecutionContext(EngineConfig(cache_policy=policy))
     result = max_truss(graph, method=method, context=context)
     return _bill(context, k_max=result.k_max, result_io=_counters(result.io))
 
@@ -183,6 +192,13 @@ def cases():
         yield ("physical_backends", f"youtube-s/semi-binary/{backend}",
                lambda b=backend: physical_backend_bill(b))
     yield ("estimation", "wikipedia-s/triangles", estimation_bill)
+    for method in SEMI_METHODS:
+        yield ("spilling_pool", f"{SPILL_DATASET}/{method}",
+               lambda m=method: semi_external_bill(SPILL_DATASET, m))
+    for policy in POOL_POLICIES:
+        for method in SEMI_METHODS:
+            yield ("policies", f"youtube-s/{method}/{policy}",
+                   lambda m=method, p=policy: semi_external_bill("youtube-s", m, p))
 
 
 def compute_bills() -> Dict[str, Dict[str, object]]:
