@@ -21,6 +21,15 @@ Sections
     Full ``compute_supports`` vs ``compute_supports_reference`` including
     the (shared) data movement both paths pay; the honest end-to-end
     number, reported without a threshold.
+``peel``
+    The peel heap's price tag. semi-binary and semi-greedy-core run on
+    the ``simulated`` backend (the heap's link traffic charged as one
+    ordered ``touch_sequence`` per operation) and on ``reference`` (the
+    literal per-touch scalar loop) in one process, on kron29-s (a small
+    Kronecker graph in smoke mode). The two bills must be identical,
+    totals and per extent (asserted); a traced rerun on ``simulated``
+    reports per-layer self times (``layers``). Full mode demands the
+    simulated runs be >= ``PEEL_SPEEDUP_THRESHOLD`` faster in total.
 ``decomposition`` / ``maintenance``
     Wall-clock + I/O tracking for the three semi-external algorithms and
     a batched maintenance churn — regression tracking only.
@@ -98,7 +107,8 @@ from repro import EngineConfig, ExecutionContext, max_truss
 from repro.dynamic import DynamicMaxTruss, apply_batch
 from repro.dynamic.workload import mixed_churn
 from repro.graph.disk_graph import DiskGraph
-from repro.graph.generators import gnm_random
+from repro.graph.datasets import load_dataset
+from repro.graph.generators import gnm_random, kronecker
 from repro.persistence import FileBlockDevice, MmapBlockDevice
 from repro.semiexternal.support import compute_supports, compute_supports_reference
 from repro.storage import BlockDevice, MemoryMeter, ReferenceBlockDevice
@@ -119,6 +129,11 @@ INGEST_BATCH_SIZE = 64
 #: bytes than the syscall path — while the charged bill stays identical.
 MMAP_SPEEDUP_THRESHOLD = 3.0
 MMAP_PHYSICAL_REDUCTION_THRESHOLD = 5.0
+
+#: Full-mode acceptance bar for the peel section: simulated (batched heap
+#: charging) vs reference (scalar loop) on kron29-s, both methods summed.
+PEEL_SPEEDUP_THRESHOLD = 1.4
+PEEL_METHODS = ("semi-binary", "semi-greedy-core")
 
 #: Default dataset scale for the support-scan microbenchmark: dense enough
 #: that batches amortise the vectorization overhead (average degree ~600),
@@ -444,6 +459,104 @@ def bench_observability(graph, config: EngineConfig) -> dict:
             for g in summary["top_by_io"][:5]
         ],
         "metrics": registry.snapshot(),
+    }
+
+
+def _peel_layers(graph) -> dict:
+    """Per-layer self times of one traced simulated run per peel method.
+
+    Uses the aggregated frame tracer of ``perfbench/layertrace.py``: each
+    wrapped call adds its wall time minus its nested wrapped calls' to
+    its layer. ``touch_sequence`` is wrapped as ``storage.device``.
+    """
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    from layertrace import LayerTracer
+
+    from repro.core import peeling
+    from repro.storage import cache_policies
+    from repro.storage.disk_array import DiskArray
+    from repro.structures.linear_heap import LinearHeap
+
+    tracer = LayerTracer()
+    tracer.patch_function(peeling, "delete_edge_kernel", "core.kernel")
+    tracer.patch_function(peeling, "peel_below", "core.peel")
+    tracer.patch_public_methods(peeling.PlainDiskHeap, "structures.heap")
+    tracer.patch_public_methods(LinearHeap, "structures.heap")
+    for name in ("get", "set", "gather", "scatter", "read_slice",
+                 "read_slices", "write_slice", "fill"):
+        tracer.patch_method(DiskArray, name, "storage.array")
+    for name in ("touch_read", "touch_write", "touch_read_batch",
+                 "touch_write_batch", "touch_sequence", "append_write"):
+        tracer.patch_method(BlockDevice, name, "storage.device")
+    for cache in (cache_policies.LRUCache, cache_policies.FIFOCache,
+                  cache_policies.ClockCache):
+        for name in ("bulk_read", "bulk_write", "bulk_touch"):
+            tracer.patch_method(cache, name, "storage.cache")
+    total = 0.0
+    try:
+        for method in PEEL_METHODS:
+            context = ExecutionContext(EngineConfig())
+            tracer.use_stats(context.stats)
+            start = time.perf_counter()
+            max_truss(graph, method=method, context=context)
+            total += time.perf_counter() - start
+            context.close()
+    finally:
+        tracer.uninstall()
+    layers = {
+        key: {"self_s": round(self_s, 4), "calls": calls, "self_ios": self_ios}
+        for key, (calls, self_s, self_ios, _wall, _layer_io)
+        in sorted(tracer.totals().items())
+    }
+    attributed = sum(row["self_s"] for row in layers.values())
+    return {
+        "traced_s": round(total, 4),
+        "unattributed_s": round(total - attributed, 4),
+        "layers": layers,
+    }
+
+
+def bench_peel(graph, reps: int, smoke: bool) -> dict:
+    rows = {}
+    totals = {"simulated": 0.0, "reference": 0.0}
+    for method in PEEL_METHODS:
+        row = {}
+        bills = {}
+        for backend in totals:
+            times = []
+            for _ in range(reps):
+                context = ExecutionContext(EngineConfig(backend=backend))
+                start = time.perf_counter()
+                result = max_truss(graph, method=method, context=context)
+                times.append(time.perf_counter() - start)
+                context.close()
+                bills[backend] = (
+                    result.k_max, context.stats.read_ios,
+                    context.stats.write_ios, context.device.io_by_extent(),
+                )
+            row[f"{backend}_s"] = round(min(times), 4)
+            totals[backend] += min(times)
+        if bills["simulated"] != bills["reference"]:
+            raise AssertionError(
+                f"{method}: simulated and reference peel bills diverged: "
+                f"{bills['simulated'][:3]} vs {bills['reference'][:3]}"
+            )
+        k_max, reads, writes, _extents = bills["simulated"]
+        row.update(
+            k_max=k_max, read_ios=reads, write_ios=writes,
+            speedup=round(row["reference_s"] / row["simulated_s"], 2),
+        )
+        rows[method] = row
+    speedup = totals["reference"] / totals["simulated"]
+    return {
+        "graph": {"n": graph.n, "m": graph.m},
+        "reps": reps,
+        "methods": rows,
+        "bills_identical": True,
+        "speedup": round(speedup, 2),
+        "threshold": PEEL_SPEEDUP_THRESHOLD,
+        "passed": bool(smoke or speedup >= PEEL_SPEEDUP_THRESHOLD),
+        **_peel_layers(graph),
     }
 
 
@@ -899,6 +1012,10 @@ def run(smoke: bool) -> dict:
     file_backend = bench_file_backend(scan_graph, reps)
     mmap_backend = bench_mmap_backend(scan_graph, reps, smoke)
 
+    peel_graph = kronecker(8, 10, seed=0) if smoke else load_dataset("kron29-s")
+    peel = bench_peel(peel_graph, min(reps, 2), smoke)
+    peel["engine_config"] = config.describe()
+
     decomp_graph = gnm_random(n=60, m=900, seed=7) if smoke else gnm_random(
         n=300, m=20_000, seed=7
     )
@@ -947,6 +1064,7 @@ def run(smoke: bool) -> dict:
             "support_scan_e2e": e2e,
             "file_backend": file_backend,
             "mmap_backend": mmap_backend,
+            "peel": peel,
             "decomposition": decomposition,
             "maintenance": maintenance,
             "observability": observability,
@@ -1008,6 +1126,17 @@ def main(argv=None) -> int:
         f"{'pass' if mmap_backend['passed'] else 'FAIL'}; "
         "charged bill identical)"
     )
+    peel = report["benchmarks"]["peel"]
+    print(
+        "peel: "
+        + ", ".join(
+            f"{method} simulated {row['simulated_s']}s vs reference "
+            f"{row['reference_s']}s ({row['speedup']}x)"
+            for method, row in peel["methods"].items()
+        )
+        + f" -> {peel['speedup']}x (threshold {peel['threshold']}x, "
+        f"{'pass' if peel['passed'] else 'FAIL'}; bills identical)"
+    )
     observability = report["benchmarks"]["observability"]
     print(
         f"observability: untraced {observability['untraced_s']}s, "
@@ -1061,7 +1190,7 @@ def main(argv=None) -> int:
     return (
         0 if accounting["passed"] and parallel["passed"]
         and ingest["passed"] and serve["passed"] and approx["passed"]
-        and mmap_backend["passed"]
+        and mmap_backend["passed"] and peel["passed"]
         else 1
     )
 

@@ -38,6 +38,7 @@ closes. See docs/io_model.md, "Charged blocks vs mapped pages".
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import repeat
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -286,6 +287,18 @@ class MmapBlockDevice(BlockDevice):
         super().touch_write_batch(extent, offsets, lengths)
         if not small:
             self._visit_batch(extent, offsets, lengths)
+
+    def touch_sequence(self, extents, offsets, nbytes, writes) -> None:
+        extents, offsets, nbytes, writes = self._normalize_sequence(
+            extents, offsets, nbytes, writes
+        )
+        super().touch_sequence(extents, offsets, nbytes, writes)
+        if isinstance(nbytes, int):
+            nbytes = repeat(nbytes)
+        # One span per touch, in order: the page sequence the scalar
+        # touch_read / touch_write loop would visit.
+        for extent, offset, length in zip(extents, offsets, nbytes):
+            self._visit_span(extent, offset, length)
 
     # ------------------------------------------------------------------ #
     # epochs, introspection, lifecycle

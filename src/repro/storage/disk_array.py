@@ -305,6 +305,18 @@ class DiskArray:
         """Full sequential read of the array contents."""
         return self.read_slice(0, self.length)
 
+    def payload(self) -> np.ndarray:
+        """The writable raw contents, for a structure that charges its own
+        element touches.
+
+        The caller must charge every element it reads or writes through
+        :meth:`BlockDevice.touch_sequence` (offset ``index * itemsize`` of
+        :attr:`extent`), in access order — the linear heap does this for
+        its link fields. A mapped payload is materialised first.
+        """
+        self._materialize()
+        return self._data
+
     def peek(self) -> np.ndarray:
         """Accounting-free view of the raw contents.
 

@@ -21,9 +21,11 @@ from repro import EngineConfig, ExecutionContext, max_truss
 from repro.graph.disk_graph import DiskGraph
 from repro.graph.generators import barabasi_albert, gnm_random
 from repro.semiexternal.support import compute_supports, compute_supports_reference
+from repro.errors import DeviceError
 from repro.storage import (
     BlockDevice,
     DiskArray,
+    InMemoryBlockDevice,
     MemoryMeter,
     ReferenceBlockDevice,
 )
@@ -204,3 +206,128 @@ def test_decomposition_equivalence(method, policy):
     assert fast_result.io.write_ios == ref_result.io.write_ios
     assert isinstance(reference.device, ReferenceBlockDevice)
     _assert_equivalent(fast.device, reference.device)
+
+
+# --------------------------------------------------------------------- #
+# ordered mixed touch lists (the peel heap's charging path)
+# --------------------------------------------------------------------- #
+
+SEQUENCE_EXTENTS = ("keys", "prev", "next", "wide")
+
+
+def _touch_script(seed, length=300, element=True):
+    """A seeded interleaved touch list over four extents: reads, writes,
+    and deliberate repeats of the previous touch (consecutive same
+    block). With ``element=False`` lengths vary, so touches span several
+    blocks, are empty, or cover whole blocks."""
+    rng = np.random.default_rng(seed)
+    script = []
+    for _ in range(length):
+        if script and rng.random() < 0.2:
+            extent, offset, nbytes, _write = script[-1]
+        else:
+            extent = int(rng.integers(len(SEQUENCE_EXTENTS)))
+            if element:
+                offset, nbytes = 8 * int(rng.integers(EXTENT_BYTES // 8)), 8
+            else:
+                offset = int(rng.integers(EXTENT_BYTES))
+                nbytes = min(int(rng.integers(0, 160)), EXTENT_BYTES - offset)
+        script.append((extent, offset, nbytes, bool(rng.random() < 0.5)))
+    return script
+
+
+def _sequence_devices(policy):
+    fast, reference = _devices(policy)
+    for device in (fast, reference):
+        for name in SEQUENCE_EXTENTS:
+            device.allocate(name, EXTENT_BYTES)
+        device.enable_touch_counting()
+    return fast, reference
+
+
+def _assert_same_state(fast, reference):
+    _assert_equivalent(fast, reference)
+    assert fast.stats.bytes_read == reference.stats.bytes_read
+    assert fast.stats.bytes_written == reference.stats.bytes_written
+    assert list(fast._cache.items()) == list(reference._cache.items())
+    assert fast.touch_counts_by_extent() == reference.touch_counts_by_extent()
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("element", [True, False], ids=["element", "spans"])
+@pytest.mark.parametrize("seed", range(4))
+def test_touch_sequence_matches_scalar_loop(policy, element, seed):
+    """touch_sequence charges and leaves the pool exactly as the scalar
+    touch_read / touch_write loop does, chunk after chunk."""
+    fast, reference = _sequence_devices(policy)
+    script = _touch_script(seed, element=element)
+    for start in range(0, len(script), 50):
+        extents, offsets, lengths, writes = zip(*script[start:start + 50])
+        nbytes = 8 if element else np.array(lengths)
+        fast.touch_sequence(extents, offsets, nbytes, writes)
+        reference.touch_sequence(list(extents), list(offsets), nbytes, list(writes))
+        _assert_same_state(fast, reference)
+    if policy == "clock":
+        assert fast._cache._hand == reference._cache._hand
+        assert fast._cache._referenced == reference._cache._referenced
+    fast.flush()
+    reference.flush()
+    _assert_same_state(fast, reference)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_touch_sequence_matches_per_touch_calls(policy):
+    """The reference spec is the literal per-touch loop of the scalar API."""
+    fast, _ = _sequence_devices(policy)
+    _, scalar = _sequence_devices(policy)
+    script = _touch_script(11, element=False)
+    extents, offsets, lengths, writes = zip(*script)
+    fast.touch_sequence(np.array(extents), np.array(offsets), np.array(lengths),
+                        np.array(writes))
+    for extent, offset, nbytes, write in script:
+        touch = scalar.touch_write if write else scalar.touch_read
+        touch(extent, offset, nbytes)
+    _assert_same_state(fast, scalar)
+
+
+def test_touch_sequence_readonly_raises_before_charging():
+    fast, _ = _sequence_devices("lru")
+    fast.readonly = True
+    with pytest.raises(DeviceError):
+        fast.touch_sequence([0, 1], [0, 8], 8, [False, True])
+    assert fast.stats.total_ios == 0
+    assert fast.cached_block_count == 0
+    fast.touch_sequence([0, 1], [0, 8], 8, [False, False])  # reads still fine
+    assert fast.stats.read_ios == 2
+
+
+@pytest.mark.parametrize(
+    "extents,offsets", [([0, 1], [0, EXTENT_BYTES]), ([0, 1], [-8, 0]), ([0, 9], [0, 0])],
+    ids=["past-end", "negative", "unknown-extent"],
+)
+def test_touch_sequence_out_of_extent_raises(extents, offsets):
+    fast, reference = _sequence_devices("lru")
+    with pytest.raises(DeviceError):
+        fast.touch_sequence(extents, offsets, 8, [False, True])
+    assert fast.stats.total_ios == 0
+    with pytest.raises(DeviceError):
+        reference.touch_sequence(extents, offsets, 8, [False, True])
+
+
+def test_touch_sequence_operand_mismatch_raises():
+    fast, _ = _sequence_devices("lru")
+    with pytest.raises(DeviceError):
+        fast.touch_sequence([0, 1], [0], 8, [False, True])
+
+
+def test_touch_sequence_inmemory_charges_nothing():
+    device = InMemoryBlockDevice(block_size=64, cache_blocks=4)
+    extent = device.allocate("keys", EXTENT_BYTES)
+    device.touch_sequence([extent] * 3, [0, 64, 128], 8, [False, True, True])
+    assert device.stats.total_ios == 0
+    assert device.cached_block_count == 0
+    with pytest.raises(DeviceError):
+        device.touch_sequence([extent + 1], [0], 8, [False])
+    device.readonly = True
+    with pytest.raises(DeviceError):
+        device.touch_sequence([extent], [0], 8, [True])

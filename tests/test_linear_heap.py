@@ -1,5 +1,6 @@
 """Tests for the disk-based LinearHeap."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -148,3 +149,190 @@ def test_drain_is_sorted(keys):
     while len(heap):
         drained.append(heap.pop_min()[1])
     assert drained == sorted(keys)
+
+
+class TestErrorsLeaveHeapIntact:
+    """A refused mutation must not lose the edge it was asked to move."""
+
+    def _snapshot(self, heap):
+        return len(heap), [heap.contains(e) for e in range(3)], heap.key_of(0)
+
+    def test_decrement_at_zero(self):
+        heap, _ = _build([0, 1, 2], [0, 0, 4])
+        before = self._snapshot(heap)
+        with pytest.raises(HeapError):
+            heap.decrement(0)
+        assert self._snapshot(heap) == before
+        assert sorted(heap.iter_bucket(0)) == [0, 1]
+
+    @pytest.mark.parametrize("bad_key", [-1, 6])
+    def test_update_key_out_of_range(self, bad_key):
+        heap, _ = _build([0, 1, 2], [3, 3, 5])
+        before = self._snapshot(heap)
+        with pytest.raises(HeapError):
+            heap.update_key(0, bad_key)
+        assert self._snapshot(heap) == before
+        assert sorted(heap.iter_bucket(3)) == [0, 1]
+
+    def test_move_edges_validates_every_key_first(self):
+        heap, _ = _build([0, 1, 2], [3, 3, 5])
+        before = self._snapshot(heap)
+        with pytest.raises(HeapError):
+            heap.move_edges([0, 1], [2, heap.max_key + 1])
+        assert self._snapshot(heap) == before
+
+    def test_edge_id_out_of_range(self):
+        heap, _ = _build([0, 1], [3, 3])
+        for call in (lambda: heap.remove(-1), lambda: heap.insert(2, 0),
+                     lambda: heap.probe_keys([0, 2])):
+            with pytest.raises(HeapError):
+                call()
+        assert len(heap) == 2
+
+
+# --------------------------------------------------------------------- #
+# the batched link core vs the element-at-a-time spec
+# --------------------------------------------------------------------- #
+
+_NIL, _DEAD = -1, -2
+
+
+class ScalarSpec:
+    """Element-at-a-time linear-heap operations over a heap's DiskArrays:
+    one ``get``/``set`` per link-field touch (``gather`` for probes). The
+    batched core must charge exactly these touches, in this order."""
+
+    def __init__(self, heap):
+        self.heap = heap
+
+    def insert(self, eid, key):
+        h = self.heap
+        head = int(h.heads[key])
+        h.keys.set(eid, key)
+        h.prev.set(eid, _NIL)
+        h.next.set(eid, head)
+        if head != _NIL:
+            h.prev.set(head, eid)
+        h.heads[key] = eid
+        h.counts[key] += 1
+        h._size += 1
+        h._min_cursor = min(h._min_cursor, key)
+
+    def remove(self, eid):
+        h = self.heap
+        next_eid = h.next.get(eid)
+        assert next_eid != _DEAD
+        prev_eid = h.prev.get(eid)
+        key = h.keys.get(eid)
+        if prev_eid != _NIL:
+            h.next.set(prev_eid, next_eid)
+        else:
+            h.heads[key] = next_eid
+        if next_eid != _NIL:
+            h.prev.set(next_eid, prev_eid)
+        h.next.set(eid, _DEAD)
+        h.counts[key] -= 1
+        h._size -= 1
+        return key
+
+    def probe_keys(self, eids):
+        h = self.heap
+        eids = np.asarray(eids, dtype=np.int64)
+        out = np.full(len(eids), -1, dtype=np.int64)
+        alive = h.next.gather(eids) != _DEAD
+        if alive.any():
+            out[alive] = h.keys.gather(eids[alive])
+        return out
+
+    def iter_bucket(self, key):
+        h = self.heap
+        members, eid = [], int(h.heads[key])
+        while eid != _NIL:
+            members.append(eid)
+            eid = h.next.get(eid)
+        return members
+
+    def move_edges(self, eids, keys):
+        for eid, key in zip(eids, keys):
+            self.remove(eid)
+            self.insert(eid, key)
+
+    def remove_edges(self, eids):
+        return [self.remove(eid) for eid in eids]
+
+    def pop_min(self):
+        eid, key = self.heap.top()
+        self.remove(eid)
+        return eid, key
+
+
+def _replay(runner, script):
+    return [
+        (op, np.asarray(getattr(runner, op)(*args)).tolist())
+        for op, *args in script
+    ]
+
+
+@pytest.mark.parametrize("policy", ["lru", "fifo", "clock"])
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_core_matches_scalar_spec(policy, seed):
+    """Same answers, same structure, same bill, same pool as the
+    element-at-a-time spec on random scripts."""
+    num_edges, max_key = 96, 6
+    rng = np.random.default_rng(100 + seed)
+    keys = rng.integers(0, max_key + 1, size=num_edges)
+    heaps = []
+    for _ in range(2):
+        device = BlockDevice(block_size=64, cache_blocks=4, policy=policy)
+        heaps.append(LinearHeap.build(device, range(num_edges), keys, max_key=max_key))
+    batched, spec_heap = heaps
+    script = _script_for(seed, batched, num_edges, max_key)
+    assert _replay(batched, script) == _replay(ScalarSpec(spec_heap), script)
+    for name in ("keys", "prev", "next"):
+        np.testing.assert_array_equal(
+            getattr(batched, name).peek(), getattr(spec_heap, name).peek()
+        )
+    np.testing.assert_array_equal(batched.heads, spec_heap.heads)
+    np.testing.assert_array_equal(batched.counts, spec_heap.counts)
+    assert len(batched) == len(spec_heap)
+    assert batched.min_key() == spec_heap.min_key()
+    fast, reference = batched.device, spec_heap.device
+    assert fast.stats.read_ios == reference.stats.read_ios
+    assert fast.stats.write_ios == reference.stats.write_ios
+    assert fast.io_by_extent() == reference.io_by_extent()
+    assert list(fast._cache.items()) == list(reference._cache.items())
+
+
+def _script_for(seed, heap, num_edges, max_key):
+    """A valid script for *heap*: tracked against a scratch copy so pops
+    and removals only ever name live edges."""
+    rng = np.random.default_rng(seed)
+    shadow = LinearHeap.build(
+        BlockDevice(block_size=64, cache_blocks=4), range(num_edges),
+        heap.keys.peek().copy(), max_key=max_key,
+    )
+    script = []
+    for _ in range(60):
+        op = rng.choice(["move", "remove", "insert", "probe", "walk", "pop"])
+        alive = [e for e in range(num_edges) if shadow.next.peek()[e] != _DEAD]
+        dead = [e for e in range(num_edges) if shadow.next.peek()[e] == _DEAD]
+        if op == "move" and alive:
+            eids = rng.choice(alive, size=min(len(alive), 8), replace=False).tolist()
+            keys = [int(k) for k in rng.integers(0, max_key + 1, size=len(eids))]
+            step = ("move_edges", eids, keys)
+        elif op == "remove" and alive:
+            step = ("remove_edges",
+                    rng.choice(alive, size=min(len(alive), 4), replace=False).tolist())
+        elif op == "insert" and dead:
+            step = ("insert", int(rng.choice(dead)), int(rng.integers(max_key + 1)))
+        elif op == "probe":
+            step = ("probe_keys", rng.integers(0, num_edges, size=12).tolist())
+        elif op == "walk":
+            step = ("iter_bucket", int(rng.integers(max_key + 1)))
+        elif op == "pop" and alive:
+            step = ("pop_min",)
+        else:
+            continue
+        getattr(shadow, step[0])(*step[1:])
+        script.append(step)
+    return script
