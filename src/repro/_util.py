@@ -1,10 +1,12 @@
-"""Small shared helpers: work budgets and timing."""
+"""Small shared helpers: work budgets, timing and integer coercion."""
 
 from __future__ import annotations
 
 import math
 import time
 from typing import Optional
+
+import numpy as np
 
 from .errors import WorkLimitExceeded
 
@@ -70,3 +72,11 @@ def log2_ceil(value: int) -> int:
     if value <= 0:
         raise ValueError("value must be positive")
     return int(math.ceil(math.log2(value))) if value > 1 else 0
+
+
+def int_list(values) -> list:
+    """*values* (a numpy array or any integer sequence) as a list of
+    python ints — the cheap form for short per-element loops."""
+    if isinstance(values, np.ndarray):
+        return values.astype(np.int64, copy=False).tolist()
+    return [int(value) for value in values]
